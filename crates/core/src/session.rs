@@ -53,14 +53,12 @@ pub fn run_session(
     let mut accepted = false;
 
     for round in 0..max_rounds.max(1) {
-        // Generate against the (possibly refined) spec.
+        // Generate against the (possibly refined) spec: one candidate
+        // set per round, sampled and then credited below.
         let cands = injector.llm().candidates(&spec, module);
-        if cands.is_empty() {
-            return Err(PipelineError::NoCandidates);
-        }
-        let fault = injector
+        let (_, fault) = injector
             .llm_mut()
-            .generate(&spec, module)
+            .choose(&spec, &cands)
             .ok_or(PipelineError::NoCandidates)?;
         let feedback = tester.review(&fault);
 

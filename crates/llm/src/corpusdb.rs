@@ -1,6 +1,7 @@
 //! The fine-tuning corpus store with TF-IDF retrieval.
 
 use nfi_neural::embedder::{word_tokens, TfIdf};
+use nfi_neural::tensor::norm;
 use nfi_sfi::FaultClass;
 use std::collections::BTreeMap;
 
@@ -28,6 +29,8 @@ pub struct CorpusDb {
     records: Vec<TrainingRecord>,
     tfidf: TfIdf,
     vectors: Vec<Vec<f32>>,
+    /// Norm of each vector, computed once here instead of per query.
+    norms: Vec<f32>,
     class_counts: BTreeMap<FaultClass, usize>,
 }
 
@@ -38,6 +41,7 @@ impl CorpusDb {
             records: Vec::new(),
             tfidf: TfIdf::fit(&[]),
             vectors: Vec::new(),
+            norms: Vec::new(),
             class_counts: BTreeMap::new(),
         }
     }
@@ -49,7 +53,8 @@ impl CorpusDb {
             .map(|r| word_tokens(&r.description))
             .collect();
         let tfidf = TfIdf::fit(&docs);
-        let vectors = docs.iter().map(|d| tfidf.embed(d)).collect();
+        let vectors: Vec<Vec<f32>> = docs.iter().map(|d| tfidf.embed(d)).collect();
+        let norms = vectors.iter().map(|v| norm(v)).collect();
         let mut class_counts = BTreeMap::new();
         for r in &records {
             *class_counts.entry(r.class).or_insert(0) += 1;
@@ -58,6 +63,7 @@ impl CorpusDb {
             records,
             tfidf,
             vectors,
+            norms,
             class_counts,
         }
     }
@@ -81,7 +87,7 @@ impl CorpusDb {
     pub fn retrieve(&self, query: &str, k: usize) -> Vec<(&TrainingRecord, f32)> {
         let q = word_tokens(query);
         self.tfidf
-            .top_k(&q, &self.vectors, k)
+            .top_k(&q, &self.vectors, &self.norms, k)
             .into_iter()
             .map(|(i, s)| (&self.records[i], s))
             .collect()

@@ -7,7 +7,9 @@
 //! Pipeline per generation:
 //!
 //! 1. **Retrieve** the most similar fine-tuning records (TF-IDF over the
-//!    SFI-generated corpus of §IV-1) — [`corpusdb::CorpusDb`].
+//!    SFI-generated corpus of §IV-1) — [`corpusdb::CorpusDb`]. Retrieval
+//!    depends only on the spec, so it runs once per spec, not once per
+//!    candidate.
 //! 2. **Synthesize** candidate mutations: class-specific AST patterns
 //!    (timeout-raise, mishandled catch, retry loop, leak, overflow, …)
 //!    plus operator-backed mutations targeted at the spec's function —
@@ -16,7 +18,12 @@
 //!    candidate features (class/effect/trigger agreement, retrieval
 //!    similarity, neural-LM fluency, corpus prior) and **sample** with
 //!    temperature — [`policy::Policy`]. This policy is the object RLHF
-//!    fine-tunes.
+//!    fine-tunes. Fluency for the whole candidate set comes from one
+//!    deduplicated batched LM pass ([`NgramLm::nll_each_ids`]).
+//!
+//! [`FaultLlm::candidates`] does steps 1–3 up to the features;
+//! [`FaultLlm::choose`] samples from the set it returns, and
+//! [`FaultLlm::generate`] is the two in a row.
 //!
 //! Why this substitution preserves the paper's behaviour is argued in
 //! DESIGN.md §1: NL→code mapping, data-volume sensitivity, and
@@ -180,11 +187,19 @@ impl FaultLlm {
     }
 
     /// Enumerates and scores all candidates for a spec (deterministic).
+    ///
+    /// The whole candidate set is featurized in one pass: retrieval
+    /// depends only on the spec, so it runs once per call, and every
+    /// candidate's fluency comes from one deduplicated batched LM pass
+    /// ([`NgramLm::nll_each_ids`]). The features are bit-identical to
+    /// retrieving and scoring each candidate on its own.
     pub fn candidates(&self, spec: &FaultSpec, module: &Module) -> Vec<Candidate> {
         let params = params::derive(spec);
         let mut cands = synth::synthesize(spec, module, &params);
-        for c in &mut cands {
-            c.features = self.featurize(spec, c);
+        let hits = self.corpus.retrieve(&spec.prompt_text(), self.config.top_k);
+        let fluency = self.fluency(&cands);
+        for (c, fluency) in cands.iter_mut().zip(fluency) {
+            c.features = self.featurize(spec, c, &hits, fluency);
         }
         cands
     }
@@ -195,13 +210,28 @@ impl FaultLlm {
     /// module with no target).
     pub fn generate(&mut self, spec: &FaultSpec, module: &Module) -> Option<GeneratedFault> {
         let cands = self.candidates(spec, module);
+        self.choose(spec, &cands).map(|(_, fault)| fault)
+    }
+
+    /// Samples one of `cands` (as built by [`FaultLlm::candidates`] for
+    /// `spec`) under the policy and returns its index with the fault.
+    ///
+    /// A caller that needs the candidate set itself, such as a review
+    /// session crediting the sampled index, builds it once and calls
+    /// this instead of [`FaultLlm::generate`]. Returns `None`, without
+    /// drawing from the sampler, when `cands` is empty.
+    pub fn choose(
+        &mut self,
+        spec: &FaultSpec,
+        cands: &[Candidate],
+    ) -> Option<(usize, GeneratedFault)> {
         if cands.is_empty() {
             return None;
         }
         let uniform: f32 = self.rng.gen();
-        let (idx, _probs) = self.policy.choose(&cands, uniform);
+        let (idx, _probs) = self.policy.choose(cands, uniform);
         let chosen = &cands[idx];
-        Some(GeneratedFault {
+        let fault = GeneratedFault {
             spec: spec.clone(),
             class: chosen.class,
             pattern: chosen.pattern.clone(),
@@ -213,30 +243,53 @@ impl FaultLlm {
             params: chosen.params.clone(),
             features: chosen.features.clone(),
             n_candidates: cands.len(),
-        })
+        };
+        Some((idx, fault))
     }
 
-    /// Computes the feature vector of a candidate for this spec.
-    fn featurize(&self, spec: &FaultSpec, c: &Candidate) -> Vec<f32> {
+    /// Fluency of each candidate: the inverse perplexity of its snippet
+    /// under the token LM, from one batched pass over all snippets.
+    /// Zero without an LM and for an empty snippet.
+    fn fluency(&self, cands: &[Candidate]) -> Vec<f32> {
+        let Some(lm) = &self.lm else {
+            return vec![0.0; cands.len()];
+        };
+        let ids: Vec<Vec<u32>> = cands
+            .iter()
+            .map(|c| lm.encode_ids(&code_tokens(&c.snippet)))
+            .collect();
+        lm.nll_each_ids(&ids)
+            .into_iter()
+            .zip(&ids)
+            .map(|(nll, seq)| {
+                if seq.is_empty() {
+                    0.0
+                } else {
+                    (-nll).exp() as f32
+                }
+            })
+            .collect()
+    }
+
+    /// Computes the feature vector of a candidate for this spec, given
+    /// the spec's retrieval hits and the candidate's fluency.
+    fn featurize(
+        &self,
+        spec: &FaultSpec,
+        c: &Candidate,
+        hits: &[(&TrainingRecord, f32)],
+        fluency: f32,
+    ) -> Vec<f32> {
         let mut f = vec![0.0f32; FEATURE_DIM];
         f[0] = (Some(c.class) == spec.class) as u8 as f32;
         f[1] = (Some(c.class) == spec.secondary_class) as u8 as f32;
         // Retrieval similarity: best match among same-class records.
-        if !self.corpus.is_empty() {
-            let hits = self.corpus.retrieve(&spec.prompt_text(), self.config.top_k);
-            f[2] = hits
-                .iter()
-                .filter(|(r, _)| r.class == c.class)
-                .map(|(_, s)| *s)
-                .fold(0.0, f32::max);
-        }
-        // Fluency: inverse perplexity of the snippet under the token LM.
-        if let Some(lm) = &self.lm {
-            let toks = code_tokens(&c.snippet);
-            if !toks.is_empty() {
-                f[3] = (-lm.nll(std::slice::from_ref(&toks))).exp() as f32;
-            }
-        }
+        f[2] = hits
+            .iter()
+            .filter(|(r, _)| r.class == c.class)
+            .map(|(_, s)| *s)
+            .fold(0.0, f32::max);
+        f[3] = fluency;
         f[4] =
             (c.target_function.is_some() && c.target_function == spec.target_function) as u8 as f32;
         f[5] = c.params.retries.map(|r| r > 0).unwrap_or(false) as u8 as f32;

@@ -102,17 +102,52 @@ impl TfIdf {
     }
 
     /// Indices of the `k` most similar corpus documents to the query,
-    /// given pre-embedded corpus vectors. Ties broken by lower index.
-    pub fn top_k(&self, query: &[String], corpus_vecs: &[Vec<f32>], k: usize) -> Vec<(usize, f32)> {
-        let q = self.embed(query);
+    /// given pre-embedded corpus vectors and their norms
+    /// (`corpus_norms[i]` is [`crate::tensor::norm`] of `corpus_vecs[i]`,
+    /// computed once when the corpus is indexed). Ties broken by lower
+    /// index.
+    ///
+    /// The query stays sparse: each score is a dot product over the
+    /// query's non-zero ids only, in ascending id order. TF-IDF weights
+    /// are non-negative, so the skipped terms are all `+0.0` and every
+    /// score is bit-identical to the dense [`cosine`].
+    pub fn top_k(
+        &self,
+        query: &[String],
+        corpus_vecs: &[Vec<f32>],
+        corpus_norms: &[f32],
+        k: usize,
+    ) -> Vec<(usize, f32)> {
+        let q = self.embed_sparse(query);
+        let qn = q.iter().map(|(_, w)| w * w).sum::<f32>().sqrt();
         let mut scored: Vec<(usize, f32)> = corpus_vecs
             .iter()
+            .zip(corpus_norms)
             .enumerate()
-            .map(|(i, v)| (i, cosine(&q, v)))
+            .map(|(i, (v, &vn))| {
+                let score = if qn == 0.0 || vn == 0.0 {
+                    0.0
+                } else {
+                    let dot: f32 = q.iter().map(|&(id, w)| w * v[id as usize]).sum();
+                    dot / (qn * vn)
+                };
+                (i, score)
+            })
             .collect();
         scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
         scored.truncate(k);
         scored
+    }
+
+    /// The non-zero entries of [`TfIdf::embed`] as `(id, weight)` pairs
+    /// in ascending id order, with the same per-entry arithmetic.
+    fn embed_sparse(&self, tokens: &[String]) -> Vec<(u32, f32)> {
+        let (mut ids, count) = self.encode(tokens);
+        ids.sort_unstable();
+        let len = count as f32;
+        ids.chunk_by(|a, b| a == b)
+            .map(|run| (run[0], (run.len() as f32 / len) * self.idf[run[0] as usize]))
+            .collect()
     }
 }
 
@@ -136,6 +171,7 @@ pub fn word_tokens(text: &str) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor::norm;
 
     fn doc(s: &str) -> Vec<String> {
         word_tokens(s)
@@ -163,7 +199,8 @@ mod tests {
         ];
         let t = TfIdf::fit(&docs);
         let vecs: Vec<Vec<f32>> = docs.iter().map(|d| t.embed(d)).collect();
-        let hits = t.top_k(&doc("database transaction timeout"), &vecs, 2);
+        let norms: Vec<f32> = vecs.iter().map(|v| norm(v)).collect();
+        let hits = t.top_k(&doc("database transaction timeout"), &vecs, &norms, 2);
         assert_eq!(hits[0].0, 0);
         assert!(hits[0].1 > hits[1].1);
     }

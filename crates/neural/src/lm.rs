@@ -33,6 +33,7 @@ use crate::tensor::Matrix;
 use crate::{sample_index, softmax_with_temperature};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 
 /// Hyper-parameters for [`NgramLm`].
 #[derive(Debug, Clone)]
@@ -65,6 +66,9 @@ pub const UNK: usize = 1;
 
 /// Default minibatch size for [`NgramLm::train_epoch_batched`].
 pub const DEFAULT_BATCH: usize = 32;
+
+/// Positions per forward batch when evaluating NLL.
+const EVAL_BATCH: usize = 256;
 
 /// Summed gradients (and total NLL) over a set of positions, shaped like
 /// the model's parameters.
@@ -473,23 +477,85 @@ impl NgramLm {
         nll
     }
 
+    /// Negative log-likelihood of each `(context, target)` window, in
+    /// window order, through the batched forward kernel. Every step of
+    /// that kernel ([`Matrix::matmul_nt`], the bias adds, `tanh` and the
+    /// row softmax) works row by row, so a window's value does not
+    /// depend on which other windows share its batch.
+    fn window_nlls(&self, ctxs: &[u32], targets: &[u32]) -> Vec<f64> {
+        let c = self.config.context;
+        let mut out = Vec::with_capacity(targets.len());
+        // Bounded batches keep the logits matrix (batch × vocab) small.
+        for (ctx_chunk, target_chunk) in ctxs.chunks(EVAL_BATCH * c).zip(targets.chunks(EVAL_BATCH))
+        {
+            let (_, _, mut logits) = self.forward_batch(ctx_chunk);
+            for (e, &target) in target_chunk.iter().enumerate() {
+                out.push(softmax_row_in_place(logits.row_mut(e), target as usize));
+            }
+        }
+        out
+    }
+
     /// Average per-token negative log-likelihood over pre-encoded id
     /// sequences, evaluated with the batched forward kernel.
     pub fn nll_ids(&self, ids: &[Vec<u32>]) -> f64 {
-        let c = self.config.context;
         let (ctxs, targets) = self.flatten_positions(ids);
         if targets.is_empty() {
             return 0.0;
         }
         let mut total = 0.0f64;
-        // Bounded batches keep the logits matrix (batch × vocab) small.
-        for (ctx_chunk, target_chunk) in ctxs.chunks(256 * c).zip(targets.chunks(256)) {
-            let (_, _, mut logits) = self.forward_batch(ctx_chunk);
-            for (e, &target) in target_chunk.iter().enumerate() {
-                total += softmax_row_in_place(logits.row_mut(e), target as usize);
-            }
+        for v in self.window_nlls(&ctxs, &targets) {
+            total += v;
         }
         total / targets.len() as f64
+    }
+
+    /// Average per-token negative log-likelihood of *each* sequence,
+    /// scored in one batched pass: `nll_each_ids(seqs)[i]` is
+    /// bit-identical to `nll_ids(&[seqs[i].clone()])` (0 for an empty
+    /// sequence).
+    ///
+    /// Candidate snippets of one target function share most of their
+    /// `(context, target)` windows, so every distinct window is
+    /// evaluated once and each sequence then sums its windows' values
+    /// in position order, exactly as [`NgramLm::nll_ids`] does. The
+    /// forward kernel is row-independent (see `window_nlls`), so
+    /// deduplicating and re-batching windows changes no bit.
+    pub fn nll_each_ids(&self, seqs: &[Vec<u32>]) -> Vec<f64> {
+        let c = self.config.context;
+        let (ctxs, targets) = self.flatten_positions(seqs);
+        // Distinct windows in first-seen order, and each position's slot.
+        let mut slot_of: HashMap<(&[u32], u32), usize> = HashMap::new();
+        let mut uniq_ctxs: Vec<u32> = Vec::new();
+        let mut uniq_targets: Vec<u32> = Vec::new();
+        let slots: Vec<usize> = targets
+            .iter()
+            .enumerate()
+            .map(|(p, &target)| {
+                let ctx = &ctxs[p * c..(p + 1) * c];
+                *slot_of.entry((ctx, target)).or_insert_with(|| {
+                    uniq_ctxs.extend_from_slice(ctx);
+                    uniq_targets.push(target);
+                    uniq_targets.len() - 1
+                })
+            })
+            .collect();
+        let values = self.window_nlls(&uniq_ctxs, &uniq_targets);
+        let mut rest = &slots[..];
+        seqs.iter()
+            .map(|seq| {
+                let (own, tail) = rest.split_at(seq.len());
+                rest = tail;
+                if own.is_empty() {
+                    return 0.0;
+                }
+                let mut total = 0.0f64;
+                for &slot in own {
+                    total += values[slot];
+                }
+                total / own.len() as f64
+            })
+            .collect()
     }
 
     /// Average per-token negative log-likelihood over sequences.

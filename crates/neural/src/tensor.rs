@@ -545,10 +545,15 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
 }
 
+/// Euclidean norm, `dot(v, v).sqrt()`.
+pub fn norm(v: &[f32]) -> f32 {
+    dot(v, v).sqrt()
+}
+
 /// Cosine similarity; zero vectors yield 0.
 pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
-    let na = dot(a, a).sqrt();
-    let nb = dot(b, b).sqrt();
+    let na = norm(a);
+    let nb = norm(b);
     if na == 0.0 || nb == 0.0 {
         0.0
     } else {
