@@ -56,17 +56,15 @@ pub fn run_session(
         // Generate against the (possibly refined) spec: one candidate
         // set per round, sampled and then credited below.
         let cands = injector.llm().candidates(&spec, module);
-        let (_, fault) = injector
+        let (chosen_idx, fault) = injector
             .llm_mut()
             .choose(&spec, &cands)
             .ok_or(PipelineError::NoCandidates)?;
         let feedback = tester.review(&fault);
 
-        // Online policy update: rating recentered at 3 as the reward.
-        let chosen_idx = cands
-            .iter()
-            .position(|c| c.pattern == fault.pattern)
-            .unwrap_or(0);
+        // Online policy update: rating recentered at 3 as the reward,
+        // credited to the sampled candidate itself (operator candidates
+        // share a pattern across sites).
         let advantage = (feedback.rating - 3.0) / 2.0;
         injector
             .llm_mut()
@@ -155,6 +153,81 @@ def process_transaction(details):
                 assert!(round.feedback.critique.is_some());
             }
         }
+    }
+
+    /// Two call statements in the target function: `op:MFC` yields one
+    /// candidate per site, with one pattern but different snippets.
+    const TWO_CALLS: &str = "\
+def audit(msg):
+    return msg
+
+def process(items):
+    audit(\"start\")
+    audit(\"end\")
+    return items
+";
+
+    fn tiny_corpus() -> Vec<nfi_llm::TrainingRecord> {
+        let rec = |id: &str, snippet: &str| nfi_llm::TrainingRecord {
+            id: id.into(),
+            description: "remove a call in process".into(),
+            class: nfi_sfi::FaultClass::Omission,
+            snippet: snippet.into(),
+            operator: "MFC".into(),
+            program: "two_calls".into(),
+        };
+        vec![
+            rec(
+                "a",
+                "def process(items):\n    audit(\"start\")\n    return items\n",
+            ),
+            rec("b", "def process(items):\n    return items\n"),
+        ]
+    }
+
+    #[test]
+    fn review_credit_goes_to_the_sampled_site_not_the_first_with_its_pattern() {
+        let module = nfi_pylite::parse(TWO_CALLS).unwrap();
+        let description = "Simulate a missing function call in the process function.";
+        let spec = nfi_nlp::analyze(description, Some(&module));
+        let tester = SimulatedTester::new(TargetProfile::default(), 1);
+        // Seeds only pick which candidate the first round samples; scan
+        // for one that samples the second `op:MFC` site.
+        for seed in 0..200 {
+            let mut injector = NeuralFaultInjector::new(PipelineConfig {
+                llm: nfi_llm::LlmConfig {
+                    seed,
+                    ..nfi_llm::LlmConfig::default()
+                },
+                ..PipelineConfig::default()
+            });
+            injector.fine_tune(tiny_corpus());
+            let cands = injector.llm().candidates(&spec, &module);
+            let sites: Vec<usize> = (0..cands.len())
+                .filter(|&i| cands[i].pattern == "op:MFC")
+                .collect();
+            assert_eq!(sites.len(), 2, "one candidate per call site");
+            let (first, second) = (sites[0], sites[1]);
+            assert_ne!(
+                cands[first].features, cands[second].features,
+                "the sites' snippets score different fluency"
+            );
+            let before = injector.llm().policy().clone();
+            let result = run_session(&mut injector, description, &module, &tester, 1).unwrap();
+            let round = &result.rounds[0];
+            let advantage = (round.feedback.rating - 3.0) / 2.0;
+            if round.fault.features != cands[second].features || advantage == 0.0 {
+                continue;
+            }
+            let mut credited = before.clone();
+            credited.reinforce(&cands, second, advantage, 0.2);
+            let mut misattributed = before;
+            misattributed.reinforce(&cands, first, advantage, 0.2);
+            assert_eq!(injector.llm().policy().weights(), credited.weights());
+            assert_ne!(credited.weights(), misattributed.weights());
+            return;
+        }
+        panic!("no seed sampled the second op:MFC site with a non-neutral rating");
     }
 
     #[test]
