@@ -518,9 +518,10 @@ impl NgramLm {
     /// Candidate snippets of one target function share most of their
     /// `(context, target)` windows, so every distinct window is
     /// evaluated once and each sequence then sums its windows' values
-    /// in position order, exactly as [`NgramLm::nll_ids`] does. The
-    /// forward kernel is row-independent (see `window_nlls`), so
-    /// deduplicating and re-batching windows changes no bit.
+    /// in position order, exactly as [`NgramLm::nll_ids`] does. Every
+    /// step of the batched forward (the GEMMs, bias adds, `tanh` and
+    /// row softmax) works row by row, so deduplicating and re-batching
+    /// windows changes no bit.
     pub fn nll_each_ids(&self, seqs: &[Vec<u32>]) -> Vec<f64> {
         let c = self.config.context;
         let (ctxs, targets) = self.flatten_positions(seqs);

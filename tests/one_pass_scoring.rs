@@ -9,7 +9,7 @@
 use neural_fault_injection::dataset::{generate, DatasetConfig};
 use neural_fault_injection::llm::{Candidate, FaultLlm, LlmConfig, TrainingRecord, FEATURE_DIM};
 use neural_fault_injection::neural::embedder::{word_tokens, TfIdf};
-use neural_fault_injection::neural::lm::code_tokens;
+use neural_fault_injection::neural::lm::{code_tokens, LmConfig, BOS, UNK};
 use neural_fault_injection::neural::tensor::{cosine, norm};
 use neural_fault_injection::nlp::{analyze, FaultSpec};
 use neural_fault_injection::pylite::Module;
@@ -83,13 +83,12 @@ fn nll_each_equals_per_sequence_nll_bitwise_on_every_candidate_snippet() {
     // An empty sequence and an all-OOV one ride along.
     seqs.push(Vec::new());
     seqs.push(lm.encode_ids(&code_tokens("zzq_unseen_a zzq_unseen_b zzq_unseen_c")));
-    assert!(seqs[seqs.len() - 1].iter().all(|&id| id == 1), "all <unk>");
+    assert!(seqs[seqs.len() - 1].iter().all(|&id| id == UNK as u32));
 
     // The batch must cross the 256-window chunk boundary.
-    let c = 3;
     let mut windows = HashSet::new();
     for seq in &seqs {
-        let mut ctx = vec![0u32; c];
+        let mut ctx = vec![BOS as u32; LmConfig::default().context];
         for &t in seq {
             windows.insert((ctx.clone(), t));
             ctx.remove(0);
